@@ -14,15 +14,18 @@
  * ragged-width correctness, an MX_GEMM_THREADS sweep over decode- and
  * prefill-shaped GEMMs (slot-named t1/t2/t4/tpool so baselines compare
  * across machines, with a bytes-touched-per-MAC arithmetic-intensity
- * metric and a bit-identity-across-lane-counts flag), and the
- * weight-memory story (FP32 bytes vs packed stream vs execution view).
+ * metric and a bit-identity-across-lane-counts flag), the fan-out
+ * break-even that calibrates gemm::kMinLaneMacs, and the weight-memory
+ * story (FP32 bytes vs packed stream vs execution view).
  * Emits BENCH_gemm_packed.json.
  *
  *   $ ./bench/gemm_packed
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "bench_report.h"
 #include "core/kernels/dispatch.h"
@@ -256,6 +259,9 @@ main()
             std::int64_t m, k, n;
         };
         const Shape shapes[] = {
+            // Serving decode: one token through the GptMini d128 FFN,
+            // under the work floor (inline at every lane cap).
+            {"decode1", 1, 128, 512},
             // Decode: one small activation batch against a wide cache.
             {"decode", 8, 256, 256},
             // Prefill: a full-sequence batch — the shape threading pays
@@ -323,6 +329,43 @@ main()
                             "_bit_identical",
                         identical);
             ok = ok && identical;
+            if (std::string(s.name) == "decode1") {
+                // The scheduling rule's promise: default knobs never
+                // lose to a pinned single lane on decode.  Calls at the
+                // two settings alternate one by one and compare by
+                // median, so host drift hits both sides alike.  The
+                // default is resolved once: set_gemm_threads(0) per
+                // call would time the environment lookup too.
+                const std::size_t pairs = bench::scaled(4000, 1000);
+                gemm::set_gemm_threads(0);
+                const std::size_t lanes[2] = {1, gemm::gemm_threads()};
+                std::vector<double> ns[2]; // {t1, default}
+                for (std::vector<double>& v : ns)
+                    v.reserve(pairs);
+                for (std::size_t i = 0; i < pairs; ++i)
+                    for (std::size_t d = 0; d < 2; ++d) {
+                        gemm::set_gemm_threads(lanes[d]);
+                        const std::uint64_t t0 = bench::detail::now_ns();
+                        bench::do_not_optimize(
+                            gemm::matmul_nt_prequant(gp, a, b));
+                        ns[d].push_back(static_cast<double>(
+                            bench::detail::now_ns() - t0));
+                    }
+                gemm::set_gemm_threads(0);
+                for (std::vector<double>& v : ns)
+                    std::sort(v.begin(), v.end());
+                const double vs_t1 = ns[0][pairs / 2] / ns[1][pairs / 2];
+                std::printf("%-8s %6s %14.3e %8.2fx (median call, "
+                            "interleaved with t1)\n",
+                            s.name, "dflt",
+                            static_cast<double>(smacs) * 1e9 /
+                                ns[1][pairs / 2],
+                            vs_t1);
+                report.metric("gemm_decode1_default_vs_t1", vs_t1, "x");
+                const bool def_ok = vs_t1 >= 0.9;
+                report.flag("gemm_decode1_default_ge_0_9x_t1", def_ok);
+                ok = ok && def_ok;
+            }
             if (std::string(s.name) == "prefill" && pool >= 2) {
                 // The scaling claim needs lanes to scale across — on a
                 // single-CPU host the key is absent (the compare gate
@@ -334,6 +377,72 @@ main()
                 ok = ok && scale_ok;
             }
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Fan-out break-even: the smallest m=1 GEMM that runs faster as a
+    // 2-lane fan-out of the shared pool than inline, timed on the raw
+    // tile walk (the matmul_* drivers would apply the floor itself).
+    // gemm::kMinLaneMacs gives every lane at least this much work.
+    // ------------------------------------------------------------------
+    if (core::ThreadPool::default_thread_count() >= 2) {
+        bench::banner("fan-out break-even: m=1 tile walk, inline vs "
+                      "2 pool lanes (MX9)");
+        const core::kernels::QuantPlan plan =
+            core::kernels::make_quant_plan(core::mx9());
+        const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+        const gemm::PackedGemmKernel& kernel = gemm::active_gemm_kernel();
+        const std::size_t k = 128;
+        std::size_t breakeven = 0;
+        std::printf("%8s %10s %12s %12s %8s\n", "n", "MACs",
+                    "inline ns", "2-lane ns", "speedup");
+        for (std::size_t n = 128; n <= 4096; n *= 2) {
+            Tensor x = Tensor::randn({1, static_cast<std::int64_t>(k)},
+                                     rng, 1.0f);
+            Tensor y = Tensor::randn({static_cast<std::int64_t>(n),
+                                      static_cast<std::int64_t>(k)},
+                                     rng, 0.3f);
+            core::Rounder rounder;
+            const auto a = gemm::PackedOperand::quantize(plan, x.data(), 1,
+                                                         k, rounder);
+            const auto b = gemm::PackedOperand::quantize(plan, y.data(), n,
+                                                         k, rounder);
+            std::vector<float> c(n);
+            const std::size_t ntiles = n / gemm::kTileRowsB;
+            const auto tile = [&](std::size_t t) {
+                kernel.gemm_tile(gp, a, b,
+                                 gemm::Tile{0, 1, t * gemm::kTileRowsB,
+                                            (t + 1) * gemm::kTileRowsB},
+                                 c.data(), n);
+            };
+            const double inline_ns =
+                bench::run_bench(
+                    [&]() {
+                        for (std::size_t t = 0; t < ntiles; ++t)
+                            tile(t);
+                    },
+                    1)
+                    .ns_per_iter;
+            const double fanout_ns =
+                bench::run_bench(
+                    [&]() {
+                        core::ThreadPool::shared().parallel_for(ntiles,
+                                                                tile, 2);
+                    },
+                    1)
+                    .ns_per_iter;
+            std::printf("%8zu %10zu %12.0f %12.0f %7.2fx\n", n, n * k,
+                        inline_ns, fanout_ns, inline_ns / fanout_ns);
+            if (breakeven == 0 && fanout_ns < inline_ns)
+                breakeven = n * k;
+        }
+        // 0 = no rung up to 512 Ki MACs paid for the fan-out.
+        report.metric("gemm_pool_fanout_breakeven_macs",
+                      static_cast<double>(breakeven), "MAC");
+        std::printf("  break-even %zu MACs; floor kMinLaneMacs = %zu "
+                    "(2 lanes from %zu MACs)\n",
+                    breakeven, gemm::kMinLaneMacs,
+                    2 * gemm::kMinLaneMacs);
     }
 
     // ------------------------------------------------------------------

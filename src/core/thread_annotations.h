@@ -151,6 +151,9 @@ class MX_SCOPED_CAPABILITY LockGuard
   public:
     explicit LockGuard(Mutex& mu) MX_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
 
+    /** Adopt a lock the caller already holds (after try_lock()). */
+    LockGuard(Mutex& mu, std::adopt_lock_t) MX_REQUIRES(mu) : mu_(mu) {}
+
     ~LockGuard() MX_RELEASE() { mu_.unlock(); }
 
     LockGuard(const LockGuard&) = delete;

@@ -116,8 +116,9 @@ ThreadPool::worker_loop()
             if (stop_)
                 return;
             seen = generation_;
-            if (!body_)
-                continue; // woke after the job already finished
+            if (!body_ || seats_ == 0)
+                continue; // the job finished, or has all its lanes
+            --seats_;
             ++active_;
             body = body_;
             n = n_;
@@ -134,36 +135,43 @@ ThreadPool::worker_loop()
 
 void
 ThreadPool::parallel_for(std::size_t n,
-                         const std::function<void(std::size_t)>& body)
+                         const std::function<void(std::size_t)>& body,
+                         std::size_t max_lanes)
 {
-    if (n == 0)
-        return;
-    // Inline when the pool adds nothing (single lane, tiny loop) or when
-    // called from inside a pool lane (nested parallelism would deadlock
-    // on run_mu_; the outer loop already owns the fan-out).
-    if (num_workers_ == 0 || n == 1 || tl_in_pool) {
+    const std::size_t lanes = std::min(
+        {n, thread_count(), max_lanes == 0 ? thread_count() : max_lanes});
+    // Inline when the pool adds nothing (one lane, tiny loop), when
+    // called from inside a pool lane (the outer loop already owns the
+    // fan-out), or when another caller's job is in flight: its lanes
+    // are taken, and waiting for them would only add that job's time
+    // to this one's.
+    if (lanes <= 1 || tl_in_pool || !run_mu_.try_lock()) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
+    LockGuard run_lock(run_mu_, std::adopt_lock);
 
     obs::Span span("pool.parallel_for");
     span.arg("n", static_cast<double>(n));
+    span.arg("lanes", static_cast<double>(lanes));
 
-    LockGuard run_lock(run_mu_);
     ensure_started();
-    const std::size_t chunk =
-        std::max<std::size_t>(1, n / (thread_count() * 8));
+    const std::size_t chunk = std::max<std::size_t>(1, n / (lanes * 8));
     {
         LockGuard lk(mu_);
         body_ = &body;
         n_ = n;
         chunk_ = chunk;
+        seats_ = lanes - 1;
         next_.store(0, std::memory_order_relaxed);
         error_ = nullptr;
         ++generation_;
     }
-    work_cv_.notify_all();
+    // Wake only the workers that can take a seat; a worker that wakes
+    // anyway finds the seats gone and goes back to sleep.
+    for (std::size_t i = 1; i < lanes; ++i)
+        work_cv_.notify_one();
     run_items(body, n, chunk); // the caller is a lane too
     std::exception_ptr err;
     {

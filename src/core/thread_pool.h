@@ -16,8 +16,12 @@
  *    i in [0, n) — each index writes its own output slot, so results
  *    are identical for any thread count (the sweep determinism test in
  *    tests/test_sweep.cpp pins this);
- *  - nested/concurrent parallel_for calls degrade gracefully: a call
- *    from inside a pool lane runs inline on that lane.
+ *  - nested and concurrent parallel_for calls never wait on each
+ *    other: a call from inside a pool lane runs inline on that lane,
+ *    and a call that finds another caller's job in flight runs inline
+ *    on its own thread instead of queueing behind it;
+ *  - a call may cap its lanes (max_lanes): only that many lanes,
+ *    the caller included, join its job.
  *
  * Exceptions thrown by body are caught, the loop drained, and the first
  * one rethrown on the calling thread.
@@ -57,11 +61,15 @@ class ThreadPool
     std::size_t thread_count() const { return num_workers_ + 1; }
 
     /**
-     * Run body(i) for every i in [0, n), fanning out across the pool.
-     * Blocks until every index completed; rethrows the first exception.
+     * Run body(i) for every i in [0, n), fanning out across at most
+     * @p max_lanes lanes (0 = every lane; the caller counts as one).
+     * Runs inline on the caller when the pool is busy with another
+     * caller's job.  Blocks until every index completed; rethrows the
+     * first exception.
      */
     void parallel_for(std::size_t n,
-                      const std::function<void(std::size_t)>& body);
+                      const std::function<void(std::size_t)>& body,
+                      std::size_t max_lanes = 0);
 
     /**
      * The process-wide pool (sized from MX_THREADS at first use).  Use
@@ -84,7 +92,7 @@ class ThreadPool
                    std::size_t n, std::size_t chunk) MX_EXCLUDES(mu_);
 
     std::size_t num_workers_ = 0; ///< Lanes - 1 (threads actually spawned).
-    Mutex run_mu_; ///< Serializes top-level parallel_for calls.
+    Mutex run_mu_; ///< Held by the one caller whose job is in flight.
     std::vector<std::thread> workers_ MX_GUARDED_BY(run_mu_);
     bool started_ MX_GUARDED_BY(run_mu_) = false;
 
@@ -98,6 +106,7 @@ class ThreadPool
         nullptr;
     std::size_t n_ MX_GUARDED_BY(mu_) = 0;
     std::size_t chunk_ MX_GUARDED_BY(mu_) = 1;
+    std::size_t seats_ MX_GUARDED_BY(mu_) = 0; ///< Workers still to join.
     std::atomic<std::size_t> next_{0}; ///< Work cursor: atomic, unguarded.
     std::exception_ptr error_ MX_GUARDED_BY(mu_);
 };

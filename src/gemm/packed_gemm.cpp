@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <map>
-#include <memory>
-#include <mutex>
 
 #include "core/check.h"
 #include "core/env.h"
 #include "core/kernels/dispatch.h"
-#include "core/thread_annotations.h"
 #include "core/thread_pool.h"
 #include "obs/obs.h"
 
@@ -32,22 +28,19 @@ count_call()
     calls.add(1);
 }
 
-/** Attach the standard per-call trace args: output shape, output-tile
- *  grid size, k1 blocks per row, active SIMD tier, and an estimate of
- *  packed + output bytes touched.  Skipped entirely when tracing is
- *  off (the span is not recording). */
+/** Attach the standard per-call trace args: output shape, k1 blocks
+ *  per row, active SIMD tier, and an estimate of packed + output bytes
+ *  touched (run_tiled adds the tile-grid size and the lanes used).
+ *  Skipped entirely when tracing is off (the span is not recording). */
 void
 annotate_gemm_span(obs::Span& span, const GemmPlan& plan, std::size_t m,
                    std::size_t n, std::size_t k, std::size_t packed_bytes)
 {
     if (!obs::trace_enabled())
         return;
-    const std::size_t nti = (m + kTileRowsA - 1) / kTileRowsA;
-    const std::size_t ntj = (n + kTileRowsB - 1) / kTileRowsB;
     span.arg("m", static_cast<double>(m));
     span.arg("n", static_cast<double>(n));
     span.arg("k", static_cast<double>(k));
-    span.arg("tiles", static_cast<double>(nti * ntj));
     span.arg("k1_blocks", static_cast<double>(plan.blocks_per_row(k)));
     span.arg("simd", static_cast<double>(
                          core::kernels::active_simd_level()));
@@ -203,42 +196,22 @@ class ScalarGemmKernel final : public PackedGemmKernel
 };
 
 /**
- * The pool the blocked drivers shard tiles across.  The default lane
- * count rides the shared process pool; a pinned MX_GEMM_THREADS /
- * set_gemm_threads count gets its own cached pool (tests pin 2 and 7
- * back to back — churning pool threads per GEMM would dwarf the GEMM).
- */
-/** Pinned-count pool cache behind pool_for (leaked, like the obs
- *  registries: lanes may still be draining at static destruction). */
-core::Mutex g_pools_mu;
-std::map<std::size_t, std::unique_ptr<core::ThreadPool>>*
-    g_pools MX_GUARDED_BY(g_pools_mu) = nullptr;
-
-core::ThreadPool&
-pool_for(std::size_t threads)
-{
-    if (threads == core::ThreadPool::default_thread_count())
-        return core::ThreadPool::shared();
-    core::LockGuard lk(g_pools_mu);
-    if (g_pools == nullptr)
-        g_pools =
-            new std::map<std::size_t, std::unique_ptr<core::ThreadPool>>;
-    std::unique_ptr<core::ThreadPool>& slot = (*g_pools)[threads];
-    if (slot == nullptr)
-        slot = std::make_unique<core::ThreadPool>(threads);
-    return *slot;
-}
-
-/**
- * Walk the FIXED (rows x cols) output-tile grid, sharding whole tiles
- * across gemm_threads() lanes.  The grid depends only on the output
- * shape — never on the thread count — and every C element lives in
- * exactly one tile, so any lane-to-tile assignment is bit-identical.
+ * Walk the FIXED (rows x cols) output-tile grid, inline or sharded
+ * across lanes of the shared pool.  The grid depends only on the
+ * output shape — never on the lane count — and every C element lives
+ * in exactly one tile, so any lane-to-tile assignment is
+ * bit-identical.  Lanes follow the one scheduling rule: at most
+ * gemm_threads(), the pool's lanes and the tile count, and one lane
+ * per kMinLaneMacs of work; a call that earns one lane runs inline.
+ * @p depth is the contraction width; @p span gets the grid and lanes.
  */
 template <typename TileFn>
 void
-run_tiled(std::size_t rows, std::size_t cols, const TileFn& run_tile)
+run_tiled(std::size_t rows, std::size_t cols, std::size_t depth,
+          obs::Span& span, const TileFn& run_tile)
 {
+    static obs::Counter& inline_calls = obs::counter("gemm.inline_calls");
+    static obs::Counter& fanout_calls = obs::counter("gemm.fanout_calls");
     const std::size_t nti = (rows + kTileRowsA - 1) / kTileRowsA;
     const std::size_t ntj = (cols + kTileRowsB - 1) / kTileRowsB;
     const std::size_t ntiles = nti * ntj;
@@ -248,23 +221,31 @@ run_tiled(std::size_t rows, std::size_t cols, const TileFn& run_tile)
         return Tile{i0, std::min(rows, i0 + kTileRowsA), j0,
                     std::min(cols, j0 + kTileRowsB)};
     };
-    const std::size_t threads = gemm_threads();
-    if (threads <= 1 || ntiles <= 1) {
+    core::ThreadPool& pool = core::ThreadPool::shared();
+    const std::size_t lanes = std::max<std::size_t>(
+        1, std::min({gemm_threads(), pool.thread_count(), ntiles,
+                     rows * cols * depth / kMinLaneMacs}));
+    span.arg("tiles", static_cast<double>(ntiles));
+    span.arg("lanes", static_cast<double>(lanes));
+    if (lanes == 1) {
+        inline_calls.add(1);
         for (std::size_t t = 0; t < ntiles; ++t)
             run_tile(tile_at(t));
         return;
     }
-    pool_for(threads).parallel_for(
-        ntiles, [&](std::size_t t) { run_tile(tile_at(t)); });
+    fanout_calls.add(1);
+    pool.parallel_for(
+        ntiles, [&](std::size_t t) { run_tile(tile_at(t)); }, lanes);
 }
 
 /** The threaded whole-GEMM drivers the matmul_* entry points run. */
 void
 run_gemm(const PackedGemmKernel& kernel, const GemmPlan& plan,
-         const PackedOperand& a, const PackedOperand& b, float* c)
+         const PackedOperand& a, const PackedOperand& b, float* c,
+         obs::Span& span)
 {
     check_pair(plan, a, b);
-    run_tiled(a.rows(), b.rows(), [&](const Tile& t) {
+    run_tiled(a.rows(), b.rows(), a.cols(), span, [&](const Tile& t) {
         kernel.gemm_tile(plan, a, b, t, c, b.rows());
     });
 }
@@ -272,10 +253,10 @@ run_gemm(const PackedGemmKernel& kernel, const GemmPlan& plan,
 void
 run_gemm_nn(const PackedGemmKernel& kernel, const GemmPlan& plan,
             const PackedOperand& a, std::span<const NnBlockRef> b,
-            std::size_t ncols, float* c)
+            std::size_t ncols, float* c, obs::Span& span)
 {
     check_nn(plan, a, b, ncols);
-    run_tiled(a.rows(), ncols, [&](const Tile& t) {
+    run_tiled(a.rows(), ncols, a.cols(), span, [&](const Tile& t) {
         kernel.gemm_nn_tile(plan, a, b, t, c, ncols);
     });
 }
@@ -492,7 +473,7 @@ matmul_nt_packed(const tensor::Tensor& x,
                        a.memory_bytes() + w.memory_bytes());
     tensor::Tensor c(
         {x.dim(0), static_cast<std::int64_t>(w.rows())});
-    run_gemm(active_gemm_kernel(), plan, a, w, c.data());
+    run_gemm(active_gemm_kernel(), plan, a, w, c.data(), span);
     count_call();
     static const bool verify = env_verifies_gemm();
     if (verify)
@@ -530,7 +511,7 @@ matmul_nt_prequant(const GemmPlan& plan, const PackedOperand& a,
                        a.memory_bytes() + b.memory_bytes());
     tensor::Tensor c({static_cast<std::int64_t>(a.rows()),
                       static_cast<std::int64_t>(b.rows())});
-    run_gemm(active_gemm_kernel(), plan, a, b, c.data());
+    run_gemm(active_gemm_kernel(), plan, a, b, c.data(), span);
     count_call();
     static const bool verify = env_verifies_gemm();
     if (verify)
@@ -552,7 +533,8 @@ matmul_nn_packed(const GemmPlan& plan, const PackedOperand& a,
     }
     tensor::Tensor c({static_cast<std::int64_t>(a.rows()),
                       static_cast<std::int64_t>(ncols)});
-    run_gemm_nn(active_gemm_kernel(), plan, a, b, ncols, c.data());
+    run_gemm_nn(active_gemm_kernel(), plan, a, b, ncols, c.data(),
+                span);
     count_call();
     static const bool verify = env_verifies_gemm();
     if (verify)

@@ -40,12 +40,14 @@
  *    across a panel, and the A row's panel slice is reused across every
  *    B row in the tile.
  *  - Multithreading.  matmul_nt_packed{,2}, matmul_nt_prequant and
- *    matmul_nn_packed shard the FIXED tile grid across a thread pool
- *    sized by MX_GEMM_THREADS (default: the MX_THREADS pool size; 1 =
- *    serial).  The grid never depends on the thread count, and each
- *    C element is computed wholly inside one tile by one thread — all
- *    integer work plus its own FP32 block chain — so results are
- *    bit-identical for any thread count or shard assignment.
+ *    matmul_nn_packed shard the FIXED tile grid across lanes of
+ *    core::ThreadPool::shared(), one lane per kMinLaneMacs of work,
+ *    capped by MX_GEMM_THREADS, the pool size and the tile count; a
+ *    call that earns one lane (every decode-sized GEMM) runs inline
+ *    on the caller.  The grid never depends on the lane count, and
+ *    each C element is computed wholly inside one tile by one thread —
+ *    all integer work plus its own FP32 block chain — so results are
+ *    bit-identical for any lane count or shard assignment.
  *
  * Scalar, AVX2 and AVX-512 kernels are therefore bit-identical by
  * construction, across any MX_GEMM_THREADS, and
@@ -67,9 +69,9 @@
  *                     kernel (exercises the reference semantics
  *                     end-to-end; ~5x slower than the values matmul)
  *   MX_GEMM=0         never take the packed path
- *   MX_GEMM_THREADS=N shard output tiles across N lanes (default: the
- *                     shared pool size; 1 = serial, today's behavior;
- *                     0/negative clamp to 1)
+ *   MX_GEMM_THREADS=N cap the shared-pool lanes one GEMM may use
+ *                     (default and ceiling: the pool size, MX_THREADS;
+ *                     1 = serial; 0/negative clamp to 1)
  *   MX_GEMM_VERIFY=1  cross-check every packed GEMM against the
  *                     dequantized reference matmul (debugging)
  */
@@ -114,6 +116,14 @@ inline constexpr std::size_t kTileRowsA = 64;
  *  the parallel shard granularity — small enough that a decode-shaped
  *  N still fans out, large enough that a B panel amortizes. */
 inline constexpr std::size_t kTileRowsB = 32;
+
+/** The work floor of one GEMM lane, in multiply-accumulates: a call
+ *  gets one lane per kMinLaneMacs of m*n*k, so anything under twice
+ *  this runs inline.  bench/gemm_packed measures where a 2-lane
+ *  fan-out starts to beat the inline walk (64-128 Ki MACs on a 4-lane
+ *  AVX-512 host); every lane gets at least that.  A constant, not a
+ *  knob: MX_GEMM_THREADS only caps the lanes. */
+inline constexpr std::size_t kMinLaneMacs = std::size_t{128} << 10;
 
 /** k1 blocks per kc panel inside a tile: the contraction slice held
  *  hot while the microkernel sweeps the tile (k1 = 16, int16 mantissas
@@ -195,9 +205,10 @@ const PackedGemmKernel* avx512_gemm_kernel();
 const PackedGemmKernel& active_gemm_kernel();
 
 /**
- * Lanes the threaded matmul_* drivers shard output tiles across.
- * Resolved once from MX_GEMM_THREADS (default: the shared pool's lane
- * count); set_gemm_threads overrides at runtime.
+ * The most shared-pool lanes one threaded matmul_* call may use (the
+ * pool size and the kMinLaneMacs floor cap it further).  Resolved once
+ * from MX_GEMM_THREADS (default: the shared pool's lane count);
+ * set_gemm_threads overrides at runtime.
  */
 std::size_t gemm_threads();
 

@@ -316,8 +316,8 @@ InferenceEngine::execute(const SessionBatchFn& fn,
     // pool; chunking cannot change any output row (each row's result
     // depends only on that row), so the reply stream is bit-identical
     // to the single-call execution.  With replicas > 1 the replica is
-    // the parallelism unit and sharding needs the explicit opt-in:
-    // concurrent parallel_for calls serialize on the pool's run mutex.
+    // the parallelism unit and sharding needs the explicit opt-in: of
+    // concurrent parallel_for calls only one gets the pool's lanes.
     // cfg_.replicas, not workers_.size(): a worker can reach here
     // while the constructor is still emplacing its siblings, and
     // cfg_.replicas is immutable once start() resolved it.

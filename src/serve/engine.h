@@ -29,8 +29,9 @@
  * Sharding policy: with one replica, a `rows_independent` batch is
  * sharded across core::ThreadPool as before.  With replicas > 1 the
  * replica is the parallelism unit and per-batch pool sharding defaults
- * OFF — concurrent workers would only serialize on the pool's run
- * mutex — unless `shard_within_replica` explicitly opts back in.
+ * OFF — a worker that finds the pool busy with a sibling's batch runs
+ * its chunks inline anyway — unless `shard_within_replica` explicitly
+ * opts back in.
  *
  * Determinism contract: because every layer's eval forward is
  * row-independent and deterministic, a request's output is bit-identical
@@ -109,9 +110,9 @@ struct EngineConfig
     bool rows_independent = false;
     /**
      * Opt-in: keep per-batch pool sharding even with replicas > 1.
-     * Off by default because N workers calling
-     * ThreadPool::parallel_for concurrently serialize on the pool's
-     * run mutex — the replica is the parallelism unit.
+     * Off by default because the replica is the parallelism unit: of
+     * N workers calling ThreadPool::parallel_for at once, only one
+     * gets the pool's lanes and the rest run their chunks inline.
      */
     bool shard_within_replica = false;
     /** Pool for sharded execution (nullptr = ThreadPool::shared()). */

@@ -34,6 +34,7 @@
 #include "nn/frozen.h"
 #include "nn/linear.h"
 #include "nn/quant.h"
+#include "obs/obs.h"
 #include "stats/rng.h"
 #include "tensor/tensor.h"
 
@@ -776,11 +777,36 @@ for_each_simd_level(Fn&& body)
 }
 
 /** Shapes that cross the tile grid: rows past kTileRowsA = 64, cols
- *  past kTileRowsB = 32, ragged contraction tails, exact boundaries. */
+ *  past kTileRowsB = 32, ragged contraction tails, exact boundaries.
+ *  The first and last clear the 2-lane work floor (2 * kMinLaneMacs)
+ *  and fan out; the others run inline at any lane cap. */
 const GemmCase kTiledCases[] = {{70, 67, 70},
                                 {64, 48, 32},
                                 {9, 256, 33},
-                                {65, 80, 4}};
+                                {65, 80, 4},
+                                {130, 96, 160}};
+
+/** GEMM calls the work floor sent to the shared pool so far. */
+std::uint64_t
+gemm_fanouts()
+{
+    return obs::counter("gemm.fanout_calls").value();
+}
+
+/** Whether an [m x k] * [n x k]^T call fans out: the lane cap and the
+ *  shared pool each allow two lanes, and the work and the tile grid
+ *  each earn them. */
+bool
+expect_fanout(std::int64_t m, std::int64_t k, std::int64_t n)
+{
+    const auto tiles = [](std::int64_t len, std::size_t tile) {
+        return (static_cast<std::size_t>(len) + tile - 1) / tile;
+    };
+    return gemm::gemm_threads() >= 2 &&
+           core::ThreadPool::shared().thread_count() >= 2 &&
+           static_cast<std::size_t>(m * k * n) >= 2 * gemm::kMinLaneMacs &&
+           tiles(m, gemm::kTileRowsA) * tiles(n, gemm::kTileRowsB) >= 2;
+}
 
 } // namespace
 
@@ -803,9 +829,15 @@ TEST(PackedGemmThreading, NtEntryPointsBitIdenticalAcrossThreadCounts)
                 }
                 for (std::size_t t : {std::size_t{2}, std::size_t{7}}) {
                     ScopedGemmThreads threads(t);
+                    const std::uint64_t fanouts0 = gemm_fanouts();
                     Tensor nt = gemm::matmul_nt_packed(x, plan,
                                                        *f.gemm_operand());
                     Tensor aa = gemm::matmul_nt_packed2(x, plan, w, plan);
+                    // Above the floor the threaded path really ran.
+                    EXPECT_EQ(gemm_fanouts() - fanouts0,
+                              expect_fanout(cs.m, cs.k, cs.n) ? 2u : 0u)
+                        << fmt.name << " [" << cs.m << "," << cs.k << ","
+                        << cs.n << "] t=" << t << " leg=" << leg;
                     EXPECT_EQ(tensor::max_abs_diff(nt, base_nt), 0.0)
                         << fmt.name << " [" << cs.m << "," << cs.k << ","
                         << cs.n << "] t=" << t << " leg=" << leg;
@@ -836,57 +868,100 @@ TEST(PackedGemmThreading, NtEntryPointsBitIdenticalAcrossThreadCounts)
 TEST(PackedGemmThreading, NnLegBitIdenticalAcrossThreadCounts)
 {
     // One chunk per k1-block with a nonzero row_off, n past the tile
-    // width so the j grid really shards (the decode P V shape).
+    // width so the j grid really shards: the decode P V shape (under
+    // the work floor, inline) and a prefill one that fans out.
     stats::Rng rng(131);
     constexpr std::size_t k1 = 16;
-    const std::int64_t m = 5, n = 70, k = 48, pad = 2;
-    for_each_simd_level([&](const char* leg) {
-        for (const auto& fmt : mx_formats()) {
-            Tensor x = spread_randn(m, k, rng);
-            Tensor b = spread_randn(n, k, rng);
-            const QuantPlan plan = make_quant_plan(fmt);
-            core::Rounder rounder;
-            const auto aop = gemm::PackedOperand::quantize(
-                plan, x.data(), static_cast<std::size_t>(m),
-                static_cast<std::size_t>(k), rounder);
-            const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
-            const std::size_t nblocks =
-                (static_cast<std::size_t>(k) + k1 - 1) / k1;
-            std::vector<gemm::PackedOperand> chunks(nblocks);
-            for (std::size_t kb = 0; kb < nblocks; ++kb) {
-                const std::size_t w =
-                    std::min(k1, static_cast<std::size_t>(k) - kb * k1);
-                Tensor slab({pad + n, static_cast<std::int64_t>(w)});
-                for (std::int64_t r = 0; r < pad + n; ++r)
-                    for (std::size_t c = 0; c < w; ++c)
-                        slab.data()[r * static_cast<std::int64_t>(w) +
-                                    static_cast<std::int64_t>(c)] =
-                            r < pad ? static_cast<float>(r + 1)
-                                    : b.data()[(r - pad) * k +
-                                               static_cast<std::int64_t>(
-                                                   kb * k1 + c)];
-                chunks[kb] = gemm::PackedOperand::quantize(
-                    plan, slab.data(), static_cast<std::size_t>(pad + n),
-                    w, rounder);
+    const std::int64_t pad = 2;
+    for (const GemmCase& cs : {GemmCase{5, 48, 70}, GemmCase{66, 64, 96}}) {
+        const std::int64_t m = cs.m, n = cs.n, k = cs.k;
+        for_each_simd_level([&](const char* leg) {
+            for (const auto& fmt : mx_formats()) {
+                Tensor x = spread_randn(m, k, rng);
+                Tensor b = spread_randn(n, k, rng);
+                const QuantPlan plan = make_quant_plan(fmt);
+                core::Rounder rounder;
+                const auto aop = gemm::PackedOperand::quantize(
+                    plan, x.data(), static_cast<std::size_t>(m),
+                    static_cast<std::size_t>(k), rounder);
+                const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+                const std::size_t nblocks =
+                    (static_cast<std::size_t>(k) + k1 - 1) / k1;
+                std::vector<gemm::PackedOperand> chunks(nblocks);
+                for (std::size_t kb = 0; kb < nblocks; ++kb) {
+                    const std::size_t w =
+                        std::min(k1, static_cast<std::size_t>(k) - kb * k1);
+                    Tensor slab({pad + n, static_cast<std::int64_t>(w)});
+                    for (std::int64_t r = 0; r < pad + n; ++r)
+                        for (std::size_t c = 0; c < w; ++c)
+                            slab.data()[r * static_cast<std::int64_t>(w) +
+                                        static_cast<std::int64_t>(c)] =
+                                r < pad ? static_cast<float>(r + 1)
+                                        : b.data()[(r - pad) * k +
+                                                   static_cast<std::int64_t>(
+                                                       kb * k1 + c)];
+                    chunks[kb] = gemm::PackedOperand::quantize(
+                        plan, slab.data(), static_cast<std::size_t>(pad + n),
+                        w, rounder);
+                }
+                std::vector<gemm::NnBlockRef> refs;
+                for (const auto& c : chunks)
+                    refs.push_back({&c, static_cast<std::size_t>(pad)});
+                Tensor base;
+                {
+                    ScopedGemmThreads serial(1);
+                    base = gemm::matmul_nn_packed(
+                        gp, aop, refs, static_cast<std::size_t>(n));
+                }
+                for (std::size_t t : {std::size_t{2}, std::size_t{7}}) {
+                    ScopedGemmThreads threads(t);
+                    const std::uint64_t fanouts0 = gemm_fanouts();
+                    Tensor got = gemm::matmul_nn_packed(
+                        gp, aop, refs, static_cast<std::size_t>(n));
+                    EXPECT_EQ(tensor::max_abs_diff(got, base), 0.0)
+                        << fmt.name << " m=" << m << " t=" << t
+                        << " leg=" << leg;
+                    EXPECT_EQ(gemm_fanouts() - fanouts0,
+                              expect_fanout(m, k, n) ? 1u : 0u)
+                        << fmt.name << " m=" << m << " t=" << t
+                        << " leg=" << leg;
+                }
             }
-            std::vector<gemm::NnBlockRef> refs;
-            for (const auto& c : chunks)
-                refs.push_back({&c, static_cast<std::size_t>(pad)});
-            Tensor base;
-            {
-                ScopedGemmThreads serial(1);
-                base = gemm::matmul_nn_packed(
-                    gp, aop, refs, static_cast<std::size_t>(n));
-            }
-            for (std::size_t t : {std::size_t{2}, std::size_t{7}}) {
-                ScopedGemmThreads threads(t);
-                Tensor got = gemm::matmul_nn_packed(
-                    gp, aop, refs, static_cast<std::size_t>(n));
-                EXPECT_EQ(tensor::max_abs_diff(got, base), 0.0)
-                    << fmt.name << " t=" << t << " leg=" << leg;
-            }
-        }
-    });
+        });
+    }
+}
+
+TEST(PackedGemmThreading, WorkFloorPlacesDecodeInlineAndPrefillOnThePool)
+{
+    // The serving decode FFN (1 x 128 -> 512) is under the floor: no
+    // lane cap sends it to the pool.  A prefill projection (32 x 256 x
+    // 256 = 2 Mi MACs) earns every lane the pool has.
+    static_assert(1 * 128 * 512 < 2 * gemm::kMinLaneMacs);
+    static_assert(32 * 256 * 256 >= 4 * gemm::kMinLaneMacs);
+    EXPECT_FALSE(expect_fanout(1, 128, 512));
+    stats::Rng rng(134);
+    const QuantPlan plan = make_quant_plan(core::mx9());
+    obs::Counter& inline_calls = obs::counter("gemm.inline_calls");
+    for (std::size_t t : {std::size_t{0}, std::size_t{2}, std::size_t{64}}) {
+        ScopedGemmThreads threads(t);
+        Tensor x = spread_randn(1, 128, rng);
+        nn::FrozenTensor f =
+            nn::FrozenTensor::build(spread_randn(512, 128, rng), core::mx9());
+        const std::uint64_t fanouts0 = gemm_fanouts();
+        const std::uint64_t inline0 = inline_calls.value();
+        gemm::matmul_nt_packed(x, plan, *f.gemm_operand());
+        EXPECT_EQ(gemm_fanouts(), fanouts0) << "t=" << t;
+        EXPECT_EQ(inline_calls.value() - inline0, 1u) << "t=" << t;
+
+        Tensor xp = spread_randn(32, 256, rng);
+        nn::FrozenTensor fp =
+            nn::FrozenTensor::build(spread_randn(256, 256, rng), core::mx9());
+        const std::uint64_t fanouts1 = gemm_fanouts();
+        gemm::matmul_nt_packed(xp, plan, *fp.gemm_operand());
+        EXPECT_EQ(gemm_fanouts() - fanouts1,
+                  expect_fanout(32, 256, 256) ? 1u : 0u)
+            << "t=" << t;
+    }
 }
 
 TEST(PackedGemmThreading, EnvKnobResolvesAndClamps)
